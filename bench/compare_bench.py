@@ -125,6 +125,10 @@ SCALING_CHECKS = [
      "BM_RasterizeParallel/threads:4", 4, None),
     ("BM_SpringLayoutParallel/threads:1",
      "BM_SpringLayoutParallel/threads:4", 4, None),
+    # Support count + level-synchronous peel; the rows time real time,
+    # so Google Benchmark names them with a /real_time suffix.
+    ("BM_TrussNumbersParallel/threads:1/real_time",
+     "BM_TrussNumbersParallel/threads:4/real_time", 4, None),
 ]
 
 # Kernel-vs-scalar readout (docs/SIMD.md): within the CURRENT run, the

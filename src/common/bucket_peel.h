@@ -2,10 +2,12 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Shared O(1)-per-operation bucket structure for peeling decompositions
-// (Batagelj–Zaversnik discipline). Used by K-Core over vertices, K-Truss
-// over edges, and (3,4)-nucleus over triangles: items are bin-sorted by
-// support, peeled in nondecreasing order, and each demotion swaps the item
-// with the head of its bucket and advances the bucket boundary.
+// (Batagelj–Zaversnik discipline). Used by K-Core over vertices,
+// (3,4)-nucleus over triangles, and the tests' order-serial K-Truss
+// reference over edges (metrics/ktruss.cc peels level-synchronously
+// instead): items are bin-sorted by support, peeled in nondecreasing
+// order, and each demotion swaps the item with the head of its bucket
+// and advances the bucket boundary.
 //
 // Contract: peel items by iterating i = 0..NumItems()-1 and taking
 // ItemAt(i); between steps, only Demote() may change supports. Demote is a

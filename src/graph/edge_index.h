@@ -19,12 +19,15 @@
 // EdgeList order, so a metric vector computed by edge peeling
 // (TrussNumbers) indexes an EdgeScalarField with no permutation.
 //
-// Construction resolves the undirected-twin mapping once: one forward
-// pass mints ids on the u < v slots, and each reverse slot finds its twin
-// with a binary search in the already-minted run. After that every
-// adjacency slot answers "which edge am I?" in O(1), which is what lets
-// the naive dual-graph construction and the per-slot sweeps stay free of
-// hashing.
+// Construction resolves the undirected-twin mapping once, in one linear
+// pass with a per-vertex cursor: visiting vertices in ascending order,
+// u's forward slots (neighbor v > u) mint the next ids, and cursor[v]
+// holds the id of v's first forward slot not yet claimed by its twin.
+// The reverse slots pointing at v arrive in ascending u — exactly the
+// order of v's forward run — so each takes cursor[v]++ with no search.
+// After that every adjacency slot answers "which edge am I?" in O(1),
+// which is what lets the truss peel, the naive dual-graph construction
+// and the per-slot sweeps stay free of hashing and binary search.
 
 #ifndef GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
 #define GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
@@ -44,20 +47,13 @@ class EdgeIndex {
     const std::vector<uint32_t>& offsets = g.Offsets();
     const std::vector<VertexId>& adj = g.Adjacency();
     slot_eid_.resize(adj.size());
+    std::vector<uint32_t> cursor(n);
     uint32_t next = 0;
     for (VertexId u = 0; u < n; ++u) {
+      cursor[u] = next;  // the id u's first forward slot is about to mint
       for (uint32_t s = offsets[u]; s < offsets[u + 1]; ++s) {
         const VertexId v = adj[s];
-        if (u < v) {
-          slot_eid_[s] = next;
-          ++next;
-        } else {
-          // v < u, so v's run already minted the id; find u's slot in it.
-          const VertexId* lo = adj.data() + offsets[v];
-          const VertexId* hi = adj.data() + offsets[v + 1];
-          const VertexId* it = std::lower_bound(lo, hi, u);
-          slot_eid_[s] = slot_eid_[static_cast<uint32_t>(it - adj.data())];
-        }
+        slot_eid_[s] = u < v ? next++ : cursor[v]++;
       }
     }
   }

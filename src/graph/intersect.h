@@ -26,50 +26,51 @@
 //       CountCommonNeighbors(a, b, c).
 //
 //   callback (needs the elements, not just the tally):
-//     * metrics/ktruss.cc  — the peel demotes both side edges of every
-//       surviving triangle: ForEachCommonNeighbor(u, v, ...);
+//     * metrics/ktruss.cc  — the level-synchronous peel reads both side
+//       edge ids of every triangle off the CSR slots:
+//       ForEachCommonNeighborSlot(u, v, ...);
 //     * metrics/nucleus.cc — triangle enumeration (w > v filter) and the
 //       3-way peel: ForEachCommonNeighbor(a, b, c, ...).
+//
+//   ForEachCommonNeighbor(u, v, ...) is a thin wrapper over
+//   ForEachCommonNeighborSlot; both run intersect::detail::ForEachMatch,
+//   the single 2-way callback loop (gallop on skew, merge otherwise).
 
 #ifndef GRAPHSCAPE_GRAPH_INTERSECT_H_
 #define GRAPHSCAPE_GRAPH_INTERSECT_H_
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 
 #include "graph/graph.h"
 #include "graph/intersect_simd.h"
 
 namespace graphscape {
 
-/// Calls on_vertex(w) for every w adjacent to both u and v, ascending.
-/// Thin wrapper over the intersection layer: skewed run pairs gallop
-/// (exponential search through the longer run), balanced pairs take the
-/// scalar merge — the callback sequence is identical either way. Callers
-/// that only count should use CountCommonNeighbors instead; it reaches
-/// the vectorized count kernels.
-template <typename OnVertex>
-inline void ForEachCommonNeighbor(const Graph& g, VertexId u, VertexId v,
-                                  OnVertex&& on_vertex) {
-  const Graph::NeighborRange ru = g.Neighbors(u);
-  const Graph::NeighborRange rv = g.Neighbors(v);
-  const VertexId* a = ru.begin();
-  const VertexId* ea = ru.end();
-  const VertexId* b = rv.begin();
-  const VertexId* eb = rv.end();
-  if (ea - a > eb - b) {
-    std::swap(a, b);
-    std::swap(ea, eb);
-  }
+namespace intersect {
+namespace detail {
+
+/// Calls on_match(pa, pb) for every pair of positions with *pa == *pb,
+/// pa in [a, ea) and pb in [b, eb), ascending. The one 2-way callback
+/// intersection loop: skewed run pairs gallop (walk the short run,
+/// exponential search through the long one), balanced pairs take the
+/// scalar merge — the match sequence is identical either way. Requires
+/// ea - a <= eb - b.
+template <typename OnMatch>
+inline void ForEachMatch(const VertexId* a, const VertexId* ea,
+                         const VertexId* b, const VertexId* eb,
+                         OnMatch&& on_match) {
   const size_t na = static_cast<size_t>(ea - a);
   const size_t nb = static_cast<size_t>(eb - b);
   if (na == 0) return;
-  if (nb >= na * intersect::kGallopSkewRatio) {
+  if (nb >= na * kGallopSkewRatio) {
     // Hub-vs-leaf shape: walk the short run, gallop through the long one.
     for (; a != ea; ++a) {
-      b = intersect::detail::GallopSeek(b, eb, *a);
+      b = GallopSeek(b, eb, *a);
       if (b == eb) return;
       if (*b == *a) {
-        on_vertex(*a);
+        on_match(a, b);
         ++b;
       }
     }
@@ -81,11 +82,55 @@ inline void ForEachCommonNeighbor(const Graph& g, VertexId u, VertexId v,
     } else if (*b < *a) {
       ++b;
     } else {
-      on_vertex(*a);
+      on_match(a, b);
       ++a;
       ++b;
     }
   }
+}
+
+}  // namespace detail
+}  // namespace intersect
+
+/// Calls on_slots(su, sv) for every w adjacent to both u and v, ascending
+/// in w, where su and sv are the CSR slots (indices into g.Adjacency())
+/// holding w in u's and v's runs. With EdgeIndex::SlotEdgeIds() the two
+/// slots name the triangle's side edges {u, w} and {v, w} in O(1).
+template <typename OnSlots>
+inline void ForEachCommonNeighborSlot(const Graph& g, VertexId u, VertexId v,
+                                      OnSlots&& on_slots) {
+  const VertexId* base = g.Adjacency().data();
+  const Graph::NeighborRange ru = g.Neighbors(u);
+  const Graph::NeighborRange rv = g.Neighbors(v);
+  auto slot = [base](const VertexId* p) {
+    return static_cast<uint32_t>(p - base);
+  };
+  if (ru.size() <= rv.size()) {
+    intersect::detail::ForEachMatch(
+        ru.begin(), ru.end(), rv.begin(), rv.end(),
+        [&](const VertexId* pu, const VertexId* pv) {
+          on_slots(slot(pu), slot(pv));
+        });
+  } else {
+    intersect::detail::ForEachMatch(
+        rv.begin(), rv.end(), ru.begin(), ru.end(),
+        [&](const VertexId* pv, const VertexId* pu) {
+          on_slots(slot(pu), slot(pv));
+        });
+  }
+}
+
+/// Calls on_vertex(w) for every w adjacent to both u and v, ascending.
+/// Thin wrapper over ForEachCommonNeighborSlot. Callers that only count
+/// should use CountCommonNeighbors instead; it reaches the vectorized
+/// count kernels.
+template <typename OnVertex>
+inline void ForEachCommonNeighbor(const Graph& g, VertexId u, VertexId v,
+                                  OnVertex&& on_vertex) {
+  const VertexId* adj = g.Adjacency().data();
+  ForEachCommonNeighborSlot(g, u, v, [&](uint32_t su, uint32_t) {
+    on_vertex(adj[su]);
+  });
 }
 
 /// Calls on_vertex(d) for every d adjacent to all of a, b, and c,

@@ -4,11 +4,15 @@
 // K-Truss decomposition — the paper's edge scalar field for dense-subgraph
 // terrains (§III, Fig. 7).
 //
-// Support counting via sorted-run intersection, then the same bucket-peel
-// discipline as kcore.h applied to edges: peel the minimum-support edge,
-// demote the two surviving edges of each of its triangles with O(1) bucket
-// swaps. truss[e] = (support when peeled) + 2, so an edge in a k-truss but
-// no (k+1)-truss reports k.
+// Support counting via sorted-run intersection, then a level-synchronous
+// peel in the style of PKT (Kabir & Madduri, HiPC 2017). For each level
+// k, the frontier is every unpeeled edge whose support equals k. The
+// frontier is peeled in parallel: each of its edges walks its triangles
+// by CSR slot, reads both side edge ids off EdgeIndex::SlotEdgeIds(),
+// and demotes the surviving sides with relaxed atomic decrements that
+// clamp at k. Edges that reach k form the next frontier of the same
+// level. truss[e] = k + 2, so an edge in a k-truss but no (k+1)-truss
+// reports k.
 
 #ifndef GRAPHSCAPE_METRICS_KTRUSS_H_
 #define GRAPHSCAPE_METRICS_KTRUSS_H_
@@ -26,13 +30,14 @@ namespace graphscape {
 /// Defines the edge indexing shared by TrussNumbers and EdgeScalarField.
 std::vector<std::pair<VertexId, VertexId>> EdgeList(const Graph& g);
 
-/// truss[e] for every edge in EdgeList order; values are >= 2.
+/// truss[e] for every edge in EdgeList order; values are >= 2. Exactly
+/// TrussNumbersParallel(g, {1, 0}).
 std::vector<uint32_t> TrussNumbers(const Graph& g);
 
-/// TrussNumbers with the support-counting pass (the dominant cost — one
-/// sorted-run intersection per edge, disjoint writes) on the pool; the
-/// bucket peel itself is inherently order-serial and stays sequential.
-/// EQUAL output to TrussNumbers for every thread count.
+/// truss[e] with both the support count and the level-synchronous peel
+/// on the pool. Truss numbers are a function of the graph (unique), so
+/// the output is EXACTLY EQUAL for every thread count, whatever order the
+/// lanes peel a frontier in.
 std::vector<uint32_t> TrussNumbersParallel(const Graph& g,
                                            const ParallelOptions& options = {});
 
